@@ -79,15 +79,15 @@ func (d *daemon) stop() (float64, error) {
 	return 0, nil
 }
 
-// setUp starts setupReps daemons, each put through prepare (the
-// workload's set-up requests), stops all but the last and returns it.
+// setUp starts reps daemons, each put through prepare (the workload's
+// set-up requests), stops all but the last and returns it.
 // setup_s is the median time from process start to the end of
 // prepare. Each daemon journals to its own file under journalDir, when
 // set.
-func (b *bench) setUp(journalDir string, prepare func(*daemon) error) (*daemon, error) {
+func (b *bench) setUp(reps int, journalDir string, prepare func(*daemon) error) (*daemon, error) {
 	var setups []float64
 	var d *daemon
-	for i := 0; i < setupReps; i++ {
+	for i := 0; i < reps; i++ {
 		if d != nil {
 			if _, err := d.stop(); err != nil {
 				return nil, err

@@ -207,6 +207,17 @@ func quantile(xs []float64, q float64) float64 {
 	return xs[lo] + (xs[hi]-xs[lo])*(pos-float64(lo))
 }
 
+// seedMedian is the mean, over simulation seeds, of each seed's median.
+// Seeds cost different amounts, so a plain median over their mixture
+// would fall in the gap between two seeds and jump with small noise.
+func seedMedian(bySeed map[int64][]float64) float64 {
+	sum := 0.0
+	for _, xs := range bySeed {
+		sum += median(xs)
+	}
+	return sum / float64(len(bySeed))
+}
+
 // median of a copy of xs.
 func median(xs []float64) float64 {
 	return quantile(append([]float64(nil), xs...), 0.5)

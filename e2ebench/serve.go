@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"joss/internal/sched"
@@ -17,7 +18,10 @@ const (
 	probeScale   = 0.05
 	streamScale  = 0.2
 	streamRepeat = 2
-	streamBench  = 4
+	// streamBench benchmarks per stream sweep: 7 sweeps split the 21
+	// benchmarks exactly, so every round of sweeps does the same work
+	// whatever the seed.
+	streamBench = 3
 	// serveSeed is the simulation seed of every serve-mixed request;
 	// the workload seed orders the probes and groups the sweeps'
 	// benchmarks.
@@ -25,7 +29,7 @@ const (
 	// The traced replay re-runs each client's first requests; the
 	// counts it reports are therefore exact for a seed.
 	replayProbes  = 48
-	replayStreams = 6
+	replayStreams = 7
 )
 
 // probe is one /run the prober sent, kept for the replay.
@@ -54,7 +58,7 @@ func runServeMixed(b *bench) error {
 	}
 	defer os.RemoveAll(journals)
 	var trained []service.WireTrainResult
-	d, err := b.setUp(journals, func(d *daemon) error {
+	d, err := b.setUp(setupReps, journals, func(d *daemon) error {
 		// Warm means the plan cache has converged: the /train grids
 		// (probes and sweeps) are pre-trained, and one pass over every
 		// distinct request the clients can send has run. Plan sharing is
@@ -66,7 +70,7 @@ func runServeMixed(b *bench) error {
 			b.op(err)
 			trained = append(trained, res)
 		}
-		for i := range names {
+		for i := 0; i < len(names)/streamBench; i++ {
 			_, _, _, err := d.c.sweep(streamRequest(serveSeed, streamBenches(names, perm, i)))
 			b.op(err)
 		}
@@ -107,89 +111,102 @@ func runServeMixed(b *bench) error {
 		workers   int // the stream sweeps' worker share: the pool size
 		byBench   = map[string]map[string]service.WireReport{}
 	)
+	// The window runs in whole rounds. In a round the sweeper sends one
+	// cycle of stream sweeps (the same requests every round, covering
+	// all benchmarks) while the prober probes until the sweeper is done.
+	// Whole rounds give every run the same sweep work.
+	roundSweeps := len(names) / streamBench
+	probeOrder := rand.New(rand.NewSource(b.seed*2 + 1)).Perm(len(names) * len(service.SchedulerNames))
+	probeSeen := map[string]service.WireReport{}
+	streamSeen := map[string]string{}
+	nProbes, nStreams := 0, 0 // requests sent, across rounds
 	start := time.Now()
 	deadline := start.Add(b.window)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // client 1: single-cell probes
-		defer wg.Done()
-		// Probes walk a seeded permutation of all benchmark × scheduler
-		// cells, so every run probes each cell about equally often.
-		nSched := len(service.SchedulerNames)
-		order := rand.New(rand.NewSource(b.seed*2 + 1)).Perm(len(names) * nSched)
-		seen := map[string]service.WireReport{}
-		for i := 0; i == 0 || time.Now().Before(deadline); i++ {
-			k := order[i%len(order)]
-			bn, sn := names[k/nSched], service.SchedulerNames[k%nSched]
-			res, n, lat, err := c1.run(probeRequest(serveSeed, bn, sn))
-			key := bn + "/" + sn
-			if err == nil {
-				if want, ok := seen[key]; ok && want != res.Report {
-					err = fmt.Errorf("probe %d (%s): report differs from the first response to the same request", i, key)
-				} else if res.Report.Tasks == 0 {
-					err = fmt.Errorf("probe %d (%s): empty report", i, key)
+	for round := 0; round == 0 || time.Now().Before(deadline); round++ {
+		var sweeperDone atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // client 1: single-cell probes
+			defer wg.Done()
+			// Probes walk a seeded permutation of all benchmark × scheduler
+			// cells, so every run probes each cell about equally often.
+			nSched := len(service.SchedulerNames)
+			for first := true; first || !sweeperDone.Load(); first = false {
+				i := nProbes
+				nProbes++
+				k := probeOrder[i%len(probeOrder)]
+				bn, sn := names[k/nSched], service.SchedulerNames[k%nSched]
+				res, n, lat, err := c1.run(probeRequest(serveSeed, bn, sn))
+				key := bn + "/" + sn
+				if err == nil {
+					if want, ok := probeSeen[key]; ok && want != res.Report {
+						err = fmt.Errorf("probe %d (%s): report differs from the first response to the same request", i, key)
+					} else if res.Report.Tasks == 0 {
+						err = fmt.Errorf("probe %d (%s): empty report", i, key)
+					}
 				}
-			}
-			b.op(err)
-			if err != nil {
-				continue
-			}
-			if _, ok := seen[key]; !ok {
-				seen[key] = res.Report
-			}
-			mu.Lock()
-			probeLats = append(probeLats, lat.Seconds()*1e3)
-			overhead["run"] = append(overhead["run"], (lat.Seconds()-res.ElapsedSec)*1e3)
-			respBytes += n
-			responses++
-			tasks += float64(res.Report.Tasks)
-			if len(probes) < replayProbes {
-				probes = append(probes, probe{bn, sn, res.Report, res.PlanEvals})
-			}
-			mu.Unlock()
-		}
-	}()
-	go func() { // client 2: background stream sweeps
-		defer wg.Done()
-		seen := map[string]string{}
-		for i := 0; i == 0 || time.Now().Before(deadline); i++ {
-			benches := streamBenches(names, perm, i)
-			res, n, lat, err := c2.stream(streamRequest(serveSeed, benches), len(benches)*len(service.SchedulerNames))
-			key := strings.Join(benches, ",")
-			if err == nil {
-				err = checkSweepShape(res, len(benches)*len(service.SchedulerNames), len(benches)*len(service.SchedulerNames)*streamRepeat)
-			}
-			if err == nil {
-				rk := reportsKey(res.Reports)
-				if want, ok := seen[key]; ok && want != rk {
-					err = fmt.Errorf("stream sweep %d (%s): reports differ from the first response to the same request", i, key)
-				} else if !ok {
-					seen[key] = rk
+				b.op(err)
+				if err != nil {
+					continue
 				}
-			}
-			b.op(err)
-			if err != nil {
-				continue
-			}
-			mu.Lock()
-			streamLat = append(streamLat, lat.Seconds()*1e3)
-			workers = max(workers, res.Workers)
-			overhead["stream"] = append(overhead["stream"], (lat.Seconds()-res.ElapsedSec)*1e3)
-			respBytes += n
-			responses++
-			tasks += simTasks(res, streamRepeat)
-			for bn, m := range res.Reports {
-				if _, ok := byBench[bn]; !ok {
-					byBench[bn] = m
+				if _, ok := probeSeen[key]; !ok {
+					probeSeen[key] = res.Report
 				}
+				mu.Lock()
+				probeLats = append(probeLats, lat.Seconds()*1e3)
+				overhead["run"] = append(overhead["run"], (lat.Seconds()-res.ElapsedSec)*1e3)
+				respBytes += n
+				responses++
+				tasks += float64(res.Report.Tasks)
+				if len(probes) < replayProbes {
+					probes = append(probes, probe{bn, sn, res.Report, res.PlanEvals})
+				}
+				mu.Unlock()
 			}
-			if len(streams) < replayStreams {
-				streams = append(streams, streamed{benches, res})
+		}()
+		go func() { // client 2: background stream sweeps
+			defer wg.Done()
+			defer sweeperDone.Store(true)
+			for i := 0; i < roundSweeps; i++ {
+				benches := streamBenches(names, perm, i)
+				res, n, lat, err := c2.stream(streamRequest(serveSeed, benches), len(benches)*len(service.SchedulerNames))
+				key := strings.Join(benches, ",")
+				if err == nil {
+					err = checkSweepShape(res, len(benches)*len(service.SchedulerNames), len(benches)*len(service.SchedulerNames)*streamRepeat)
+				}
+				if err == nil {
+					rk := reportsKey(res.Reports)
+					if want, ok := streamSeen[key]; ok && want != rk {
+						err = fmt.Errorf("stream sweep %d (%s): reports differ from the first response to the same request", nStreams, key)
+					} else if !ok {
+						streamSeen[key] = rk
+					}
+				}
+				nStreams++
+				b.op(err)
+				if err != nil {
+					continue
+				}
+				mu.Lock()
+				streamLat = append(streamLat, lat.Seconds()*1e3)
+				workers = max(workers, res.Workers)
+				overhead["stream"] = append(overhead["stream"], (lat.Seconds()-res.ElapsedSec)*1e3)
+				respBytes += n
+				responses++
+				tasks += simTasks(res, streamRepeat)
+				for bn, m := range res.Reports {
+					if _, ok := byBench[bn]; !ok {
+						byBench[bn] = m
+					}
+				}
+				if len(streams) < replayStreams {
+					streams = append(streams, streamed{benches, res})
+				}
+				mu.Unlock()
 			}
-			mu.Unlock()
-		}
-	}()
-	wg.Wait()
+		}()
+		wg.Wait()
+	}
 	elapsed := time.Since(start).Seconds()
 	if len(probeLats) == 0 || len(streamLat) == 0 {
 		return fmt.Errorf("a client completed no request")
@@ -210,8 +227,8 @@ func runServeMixed(b *bench) error {
 	}
 	b.setE2E("rss_peak_mb", rss, "MB")
 
-	// Each stream sweep takes the next 4 benchmarks of a seeded cycle
-	// through all 21, so a window of at least 6 sweeps covers them all.
+	// A round's stream sweeps take the benchmarks 3 at a time through a
+	// seeded permutation of all 21, so every round covers them all.
 	if len(byBench) != len(names) {
 		b.check(fmt.Errorf("stream sweeps covered %d of %d benchmarks", len(byBench), len(names)))
 	}
