@@ -32,17 +32,19 @@ test:
 # chaos repeats the failure-path suite under the race detector:
 # overload storms, mid-run cancellation, drain refusals, SIGKILL crash
 # recovery, journal replay, the train-vs-lazy differential with its
-# concurrent-train storm, the fleet fault drills (multi-daemon shard
-# kill, drain spillover, 429 storm, ring-slice warm-up) and the metrics
-# registry storm (concurrent updates racing a scraper) — the tests most
-# sensitive to timing, so they get extra iterations beyond the single
-# tier-1 pass.
+# concurrent-train storm, the shared-graph differential and graph-cache
+# single-flight, the dispatcher's Cancel-vs-completion race, the fleet
+# fault drills (multi-daemon shard kill, drain spillover, 429 storm,
+# ring-slice warm-up) and the metrics registry storm (concurrent updates
+# racing a scraper) — the tests most sensitive to timing, so they get
+# extra iterations beyond the single tier-1 pass.
 chaos:
 	$(GO) test -race -count=3 \
-		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestSessionBatchFallbackProbeStorm|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm' \
+		-run 'TestSessionOverloadStormByteIdentical|TestSessionCancelInterruptsInFlight|TestSessionDrain|TestSessionJobJournalReplay|TestHTTPOverloadAndDrain|TestCrashRecoverySIGKILL|TestTrainThenSweepMatchesLazy|TestTrainConcurrentStorm|TestSharedGraphMatchesPrivate|TestGraphCacheSingleFlight' \
 		./internal/service
+	$(GO) test -race -count=3 -run 'TestCancelRacesCompletions|TestCancelDropsQueuedUnits' ./internal/dispatch
 	$(GO) test -race -count=3 ./internal/jobstore
-	$(GO) test -race -count=3 -run 'TestCancel|TestRunBatch' ./internal/taskrt
+	$(GO) test -race -count=3 -run 'TestCancel' ./internal/taskrt
 	$(GO) test -race -count=3 \
 		-run 'TestFleetSIGKILLDrill|TestFleetShardDeathFailover|TestFleetDrainSpillover|TestFleet429Spillover|TestFleetAllShardsDownDegradedError|TestFleetWarmupDrill|TestFleetHealthPassthroughAndMetrics' \
 		./internal/fleet

@@ -144,8 +144,9 @@ func runBench(outPath string, reuse bool) error {
 				slu = c
 			}
 		}
-		// warm mirrors the sweep executor's worker exactly: Reset-reused
-		// runtime, recycled graph arenas, and — for model-driven
+		// warm mirrors a warm exp/replay worker: Reset-reused runtime,
+		// graph rebuilt into recycled arenas (the service instead shares
+		// one cached graph, which skips even that), and — for model-driven
 		// schedulers — a Reset-recycled scheduler instead of a fresh
 		// construction per run (samplers, kernel tables and search
 		// scratch retained). The JOSSRunWarm row's allocs/op is the
@@ -189,19 +190,9 @@ func runBench(outPath string, reuse bool) error {
 
 		// The service path end to end on a warm session: request
 		// admission, cost-aware fair-share dispatch, pool execution and
-		// per-cell merge. Two rows share one repeat-heavy multi-workload
-		// request — the shape where per-repeat setup hurts most, because
-		// parallel scalar workers ping-pong between cells and re-pay the
-		// graph rebuild and the oracle's kernel memo on each switch.
-		// SessionSweepWarm forces the scalar path (one dispatcher unit
-		// per repeat); BatchedSweepWarm lets the dispatcher hand each
-		// cell's repeats to one worker as lockstep lanes of a single
-		// runtime. Results are bit-identical either way, so the gap
-		// between the rows is pure dispatch-granularity overhead. The
-		// load-bearing signal is allocs/op — batching roughly halves it,
-		// deterministically — while the tasks/s gap is at the mercy of
-		// the host's core count (see PERF.md); perfgate gates the alloc
-		// ratio hard and the throughput ratio loosely.
+		// per-cell merge, for one repeat-heavy multi-workload request.
+		// Every unit reads its cell's DAG from the session graph cache,
+		// so a warm iteration builds nothing.
 		sess := e.Session()
 		const sweepRepeats = 3
 		var sweepJobs []service.Job
@@ -213,42 +204,34 @@ func runBench(outPath string, reuse bool) error {
 					Make: func() taskrt.Scheduler { return sess.NewScheduler("GRWS") }})
 			}
 		}
-		sweepReq := func(noBatch bool) service.SweepRequest {
-			return service.SweepRequest{
-				Jobs:     sweepJobs,
-				Scale:    0.05,
-				Seed:     1,
-				Repeats:  sweepRepeats,
-				Parallel: 2,
-				NoBatch:  noBatch,
-			}
+		sweepReq := service.SweepRequest{
+			Jobs:     sweepJobs,
+			Scale:    0.05,
+			Seed:     1,
+			Repeats:  sweepRepeats,
+			Parallel: 2,
 		}
-		// Warm the pool, arenas and schedulers on both claim
-		// granularities so neither row pays first-touch costs.
-		sess.Submit(sweepReq(true))
-		sess.Submit(sweepReq(false))
-		sweepBench := func(noBatch bool) func(b *testing.B) {
-			return func(b *testing.B) {
-				totalTasks = 0
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					res, _ := sess.Submit(sweepReq(noBatch))
-					for _, m := range res.Reports {
-						for _, rep := range m {
-							totalTasks += rep.Stats.TasksExecuted * sweepRepeats
-						}
-					}
-				}
-				elapsed = time.Since(start)
-			}
-		}
+		// Warm the pool, graphs and schedulers so the row pays no
+		// first-touch costs.
+		sess.Submit(sweepReq)
 		tasksMetric := func(testing.BenchmarkResult) map[string]float64 {
 			return map[string]float64{
 				"tasks_per_s": float64(totalTasks) / elapsed.Seconds(),
 			}
 		}
-		add("SessionSweepWarm", tasksMetric, sweepBench(true))
-		add("BatchedSweepWarm", tasksMetric, sweepBench(false))
+		add("SessionSweepWarm", tasksMetric, func(b *testing.B) {
+			totalTasks = 0
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				res, _ := sess.Submit(sweepReq)
+				for _, m := range res.Reports {
+					for _, rep := range m {
+						totalTasks += rep.Stats.TasksExecuted * sweepRepeats
+					}
+				}
+			}
+			elapsed = time.Since(start)
+		})
 
 		// Plan pre-training, measured as the pair perfgate gates: the
 		// same JOSS sweep served cold (a fresh plan cache every

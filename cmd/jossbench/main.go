@@ -4,7 +4,7 @@
 // Usage:
 //
 //	jossbench [-scale F] [-parallel N] [-csv] [-shareplans] [-planstore FILE]
-//	          [-sensorperiod S] [-nosensor] [-batch=BOOL] [-reuse]
+//	          [-sensorperiod S] [-nosensor] [-reuse]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //	          [-mutexprofile FILE] [-blockprofile FILE]
 //	          fig1|fig2|fig5|fig8|fig8split|fig9|fig10|overhead|extras|dopsweep|slu|table1|bench|all
@@ -50,8 +50,6 @@ func run() (code int) {
 		"power sensor sampling period in seconds (0 = the paper's 5 ms); coarser periods cut simulation events on large sweeps")
 	noSensor := flag.Bool("nosensor", false,
 		"disable the sampled power sensor for throughput sweeps; energies fall back to the event-exact integral")
-	batch := flag.Bool("batch", true,
-		"run each cell's repeats as batched lockstep lanes of one runtime (bit-identical results; -batch=false benchmarks the scalar path)")
 	benchOut := flag.String("benchout", "",
 		"bench mode: output path (default BENCH_<timestamp>.json)")
 	benchReuse := flag.Bool("reuse", false,
@@ -103,8 +101,7 @@ func run() (code int) {
 
 	// bench builds its own fixed-scale environment; dispatch before
 	// paying the full-scale profile-and-train below. Sweep-only knobs
-	// are rejected rather than silently ignored (-batch is exercised by
-	// the bench rows themselves, which measure both paths).
+	// are rejected rather than silently ignored.
 	if flag.Arg(0) == "bench" {
 		if *planStore != "" || *sensorPeriod != 0 || *noSensor {
 			fmt.Fprintln(os.Stderr,
@@ -128,7 +125,6 @@ func run() (code int) {
 	}
 	e.Repeats = *repeats
 	e.SharePlans = *sharePlans
-	e.NoBatch = !*batch
 	e.SensorPeriodSec = *sensorPeriod
 	e.SensorOff = *noSensor
 	if *planStore != "" {

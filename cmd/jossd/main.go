@@ -1,9 +1,9 @@
 // Command jossd is the warm-session daemon: it profiles the simulated
 // TX2 and trains the JOSS models once at startup, then serves JSON
 // sweep and run requests over HTTP (TCP or a unix socket) from a
-// resident service.Session — long-lived worker runtimes, recycled
-// graph arenas, Reset-recycled schedulers and the shared persistent
-// plan cache. No request ever trains; with -planstore, a request for
+// resident service.Session — long-lived worker runtimes, built
+// workload graphs shared by every worker, Reset-recycled schedulers and
+// the shared persistent plan cache. No request ever trains; with -planstore, a request for
 // kernels any previous process trained performs zero plan searches.
 //
 // Requests execute concurrently: each admitted request becomes a job

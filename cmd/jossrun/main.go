@@ -101,8 +101,6 @@ func main() {
 	repeats := flag.Int("repeats", 1, "with -connect: seeds per cell, averaged on the daemon")
 	retries := flag.Int("retries", 4,
 		"with -connect: retries for transient failures (dial errors, 429 overload, 5xx), with jittered exponential backoff honouring Retry-After")
-	batch := flag.Bool("batch", true,
-		"with -connect/-fleet: run each cell's repeats as batched lockstep lanes of one daemon runtime (bit-identical results; -batch=false forces the scalar path)")
 	traceRemote := flag.String("traceout", "",
 		"with -connect: request the run with ?trace=1 and write the daemon's Chrome trace-event JSON to this file (single run only)")
 	showMetrics := flag.Bool("metrics", false,
@@ -163,7 +161,7 @@ func main() {
 			}
 			return
 		}
-		if err := fleetSweep(targets, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *batch, *showMetrics); err != nil {
+		if err := fleetSweep(targets, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *showMetrics); err != nil {
 			fmt.Fprintln(os.Stderr, "jossrun:", err)
 			os.Exit(exitCode(err))
 		}
@@ -187,9 +185,9 @@ func main() {
 		case *watch != "":
 			err = watchRemote(*connect, *watch, *retries)
 		case *async:
-			err = asyncRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *retries, *batch)
+			err = asyncRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *retries)
 		default:
-			err = runRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *retries, *batch, *traceRemote)
+			err = runRemote(*connect, *benchName, *schedName, *speedup, *scale, *seed, *repeats, *retries, *traceRemote)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jossrun:", err)

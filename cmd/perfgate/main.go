@@ -8,17 +8,12 @@
 // throughput is not, so the memory gates catch regressions that hide
 // inside tasks/s variance.
 //
-// The gate additionally holds the batched-lockstep rows against each
-// other inside the candidate report: BatchedSweepWarm runs the exact
-// request SessionSweepWarm runs, with batched claims instead of scalar
-// ⟨cell, repeat⟩ units. Batching must keep allocs/op well under the
-// scalar row (-batchallocratio) — a silent fall-back to scalar units
-// would converge the two rows and trips this first — and must not fall
-// meaningfully behind it in tasks/s (-batchspeedup, a loose floor
-// because single-core CI runners hide the cell ping-pong batching
-// removes; see PERF.md).
+// Rows retired together with the mechanism they measured (see
+// retiredRows) are reported as retired rather than failed when an older
+// baseline still carries them; any other row missing from the
+// candidate fails.
 //
-// A second candidate-internal pair holds plan pre-training to its
+// A candidate-internal pair holds plan pre-training to its
 // contract: PretrainedSweep (the ColdSweep request over a Train-warmed
 // plan cache) must report zero plan evaluations — the deterministic
 // proof that trained plans are adopted instead of re-searched — and
@@ -28,7 +23,7 @@
 // catches the rows diverging wildly, and the evals gate is the
 // contract.
 //
-// A third candidate-internal check is absolute: the MetricsHotPath row
+// A second candidate-internal check is absolute: the MetricsHotPath row
 // must report exactly 0 allocs/op — the observability layer's standing
 // contract that metric updates never allocate on the serving path.
 //
@@ -36,7 +31,6 @@
 //
 //	perfgate -baseline BASELINE.json [-threshold 0.20]
 //	         [-allocthreshold 0.10] [-bytesthreshold 0.30]
-//	         [-batchspeedup 0.85] [-batchallocratio 0.75]
 //	         [-pretrainratio 1.10] [CANDIDATE.json]
 //
 // Without an explicit candidate, the newest BENCH_*.json in the
@@ -69,6 +63,16 @@ type benchEntry struct {
 	AllocsPerOp *int64             `json:"allocs_per_op"`
 	BytesPerOp  *int64             `json:"bytes_per_op"`
 	Metrics     map[string]float64 `json:"metrics"`
+}
+
+// retiredRows names benchmark rows deleted together with the mechanism
+// they measured, with the reason. A baseline recorded before the
+// deletion still carries them; they are reported, not failed, so
+// retiring a mechanism does not force a re-baseline. The rows' own
+// thresholds are not loosened: a candidate that still reports a
+// retired row is gated as before.
+var retiredRows = map[string]string{
+	"BatchedSweepWarm": "batched lockstep repeats were removed once every unit shares one cached graph (PERF.md, \"one execution path\")",
 }
 
 func readBench(path string) (*benchFile, error) {
@@ -107,10 +111,6 @@ func main() {
 		"maximum tolerated fractional allocs/op growth on warm rows (*Warm benchmarks)")
 	bytesThreshold := flag.Float64("bytesthreshold", 0.30,
 		"maximum tolerated fractional B/op growth on warm rows (*Warm benchmarks)")
-	batchSpeedup := flag.Float64("batchspeedup", 0.85,
-		"minimum BatchedSweepWarm/SessionSweepWarm tasks/s ratio in the candidate")
-	batchAllocRatio := flag.Float64("batchallocratio", 0.75,
-		"maximum BatchedSweepWarm/SessionSweepWarm allocs/op ratio in the candidate")
 	pretrainRatio := flag.Float64("pretrainratio", 1.10,
 		"maximum PretrainedSweep/ColdSweep ns/op ratio in the candidate")
 	flag.Parse()
@@ -164,6 +164,10 @@ func main() {
 			continue
 		}
 		c, ok := candBy[b.Name]
+		if why, retired := retiredRows[b.Name]; retired && !ok {
+			fmt.Printf("  skip %-24s retired: %s\n", b.Name, why)
+			continue
+		}
 		if !ok {
 			fmt.Printf("  FAIL %-24s missing from candidate\n", b.Name)
 			failed = true
@@ -216,45 +220,6 @@ func main() {
 		memGate("allocs/op", b.AllocsPerOp, c.AllocsPerOp, *allocThreshold)
 		memGate("B/op", b.BytesPerOp, c.BytesPerOp, *bytesThreshold)
 	}
-	// Batched-vs-scalar pair gate, entirely inside the candidate: the
-	// two rows run the identical sweep request, so their ratio is free
-	// of cross-machine variance. Gated only when the baseline carries
-	// both rows (reports from before the batched executor pass
-	// untouched); a candidate missing either row was already failed by
-	// the per-row loop above.
-	baseHasPair := 0
-	for _, b := range base.Benchmarks {
-		if b.Name == "SessionSweepWarm" || b.Name == "BatchedSweepWarm" {
-			baseHasPair++
-		}
-	}
-	scalarRow, haveScalar := candBy["SessionSweepWarm"]
-	batchedRow, haveBatched := candBy["BatchedSweepWarm"]
-	if baseHasPair == 2 && haveScalar && haveBatched {
-		scalarRate, batchedRate := scalarRow.Metrics["tasks_per_s"], batchedRow.Metrics["tasks_per_s"]
-		if scalarRate > 0 && batchedRate > 0 {
-			compared++
-			ratio := batchedRate / scalarRate
-			status := "ok  "
-			if ratio < *batchSpeedup {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("  %s %-24s %.2fx scalar tasks/s (floor %.2fx)\n",
-				status, "batched/scalar rate", ratio, *batchSpeedup)
-		}
-		if scalarRow.AllocsPerOp != nil && *scalarRow.AllocsPerOp > 0 && batchedRow.AllocsPerOp != nil {
-			compared++
-			ratio := float64(*batchedRow.AllocsPerOp) / float64(*scalarRow.AllocsPerOp)
-			status := "ok  "
-			if ratio > *batchAllocRatio {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("  %s %-24s %.2fx scalar allocs/op (ceiling %.2fx)\n",
-				status, "batched/scalar allocs", ratio, *batchAllocRatio)
-		}
-	}
 	// Pre-trained-vs-cold pair gate, also candidate-internal:
 	// PretrainedSweep runs the identical JOSS sweep ColdSweep runs,
 	// over a Train-warmed plan cache instead of a fresh one. The hard
@@ -266,7 +231,7 @@ func main() {
 	// on a single-core runner the deleted work is a few percent of the
 	// sweep and inside run-to-run noise (see PERF.md PR 9), so the
 	// ceiling sits above 1. Gated only when the baseline carries both
-	// rows, like the batched pair.
+	// rows (reports from before plan pre-training pass untouched).
 	baseHasTrainPair := 0
 	for _, b := range base.Benchmarks {
 		if b.Name == "ColdSweep" || b.Name == "PretrainedSweep" {

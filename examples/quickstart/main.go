@@ -57,10 +57,10 @@ func main() {
 		}
 	}
 
-	// 4. Run under JOSS and under the GRWS baseline. A runtime is
-	//    single-use; build one per run.
+	// 4. Run under JOSS and under the GRWS baseline. Runs never write
+	//    to the graph, so both share it; a runtime is single-use unless
+	//    rewound with Reset, so build one per run.
 	run := func(s taskrt.Scheduler) taskrt.Report {
-		g.ResetRuntimeState()
 		return taskrt.New(oracle, s, taskrt.DefaultOptions()).Run(g)
 	}
 	joss := sched.NewJOSS(set)

@@ -23,23 +23,21 @@ type Kernel struct {
 	Index int
 }
 
-// Task is one vertex of the application DAG.
+// Task is one vertex of the application DAG. A built task carries
+// structure only — execution state (predecessor counters, pending
+// decisions) lives in the runtime, indexed by ID — so a finished graph
+// is immutable and any number of concurrent runs may share it.
 type Task struct {
 	ID     int
 	Kernel *Kernel
 	// Succs are the tasks that depend on this task.
 	Succs []*Task
-	// Preds are the tasks this task depends on (the reverse edges,
-	// kept for criticality analyses).
+	// Preds are the tasks this task depends on (the reverse edges; its
+	// length is the task's initial predecessor count).
 	Preds []*Task
-	// npred is the number of uncompleted predecessors.
-	npred int
 	// Seq is the kernel-local invocation number (0-based), used by
 	// schedulers for online sampling.
 	Seq int
-	// Decision is runtime-owned scratch: the scheduler's decision for
-	// this task during the current execution.
-	Decision any
 	// DemandScale multiplies this task's ops and bytes relative to
 	// its kernel's base demand (0 means 1.0). It models benchmarks
 	// whose task sizes vary within a kernel (e.g. the Biomarker
@@ -58,10 +56,9 @@ func (t *Task) EffectiveDemand() platform.TaskDemand {
 	return d
 }
 
-// NumPred returns the task's current unfinished-predecessor count.
-func (t *Task) NumPred() int { return t.npred }
-
-// Graph is a task DAG under construction or execution.
+// Graph is a task DAG. Once built (and its BaseState computed) it is
+// read-only: runs never write to it, so one graph may back many
+// concurrent runtimes.
 type Graph struct {
 	Name    string
 	Kernels []*Kernel
@@ -83,11 +80,10 @@ type Graph struct {
 	edgeUsed   int // edge-arena slots handed out across all chunks
 
 	// baseNpred/baseRoots cache the graph's initial ready-state — the
-	// per-task predecessor counts and the root set — so every execution
-	// lane starts from an O(tasks) array copy instead of re-walking the
-	// edge lists. Derived from the immutable Preds structure (never from
-	// the mutable npred counters), recomputed lazily after any
-	// structural change.
+	// per-task predecessor counts and the root set — so every run starts
+	// from an O(tasks) array copy instead of re-walking the edge lists.
+	// Derived from Preds, recomputed lazily after any structural
+	// change.
 	baseNpred []int32
 	baseRoots []*Task
 	baseValid bool
@@ -156,11 +152,12 @@ func New(name string) *Graph {
 }
 
 // Reuse empties the graph for rebuilding under a new name while
-// retaining its task and edge arena chunks, so repeat builds of a
-// workload recycle storage instead of allocating. The previous build's
-// tasks and kernels become invalid; the caller must ensure no runtime
-// still executes them. Edge slices that grew beyond the arena's initial
-// capacity were ordinary allocations and are simply dropped.
+// retaining its task and edge arena chunks and its kernel structs, so
+// repeat builds of a workload recycle storage instead of allocating.
+// The previous build's tasks and kernels become invalid; the caller
+// must ensure no runtime still executes them. Edge slices that grew
+// beyond the arena's initial capacity were ordinary allocations and
+// are simply dropped.
 func (g *Graph) Reuse(name string) {
 	g.Name = name
 	g.Kernels = g.Kernels[:0]
@@ -189,7 +186,17 @@ func (g *Graph) AddKernel(name string, d platform.TaskDemand) *Kernel {
 		panic(fmt.Sprintf("dag: duplicate kernel %q", name))
 	}
 	d.Kernel = name
-	k := &Kernel{Name: name, Demand: d, Index: len(g.Kernels)}
+	// Reuse truncates Kernels without dropping its backing array, so a
+	// rebuild overwrites the previous build's kernel structs in place.
+	n := len(g.Kernels)
+	var k *Kernel
+	if n < cap(g.Kernels) {
+		k = g.Kernels[:n+1][n]
+	}
+	if k == nil {
+		k = new(Kernel)
+	}
+	*k = Kernel{Name: name, Demand: d, Index: n}
 	g.Kernels = append(g.Kernels, k)
 	g.kernelByName[name] = k
 	return k
@@ -229,14 +236,13 @@ func (g *Graph) AddDep(pred, succ *Task) {
 		succ.Preds = g.newEdgeSlice()
 	}
 	succ.Preds = g.appendEdge(succ.Preds, pred)
-	succ.npred++
 }
 
 // Roots returns tasks with no predecessors (the initially ready set).
 func (g *Graph) Roots() []*Task {
 	var out []*Task
 	for _, t := range g.Tasks {
-		if t.npred == 0 {
+		if len(t.Preds) == 0 {
 			out = append(out, t)
 		}
 	}
@@ -244,12 +250,12 @@ func (g *Graph) Roots() []*Task {
 }
 
 // BaseState returns the graph's initial per-task predecessor counts
-// (indexed by Task.ID) and its root set. Both are cached on the graph
-// and derived from the immutable edge structure — not from the mutable
-// npred counters — so the result is valid no matter how many executions
-// have consumed the graph since it was built. Callers must treat both
-// slices as read-only; they are invalidated by the next structural
-// change (AddTask/AddDep/Reuse).
+// (indexed by Task.ID) and its root set, both derived from Preds. The
+// first call after a structural change computes and caches them; later
+// calls only read, so a graph whose BaseState was computed before it
+// was shared may be run by any number of goroutines at once. Callers
+// must treat both slices as read-only; they are invalidated by the next
+// structural change (AddTask/AddDep/Reuse).
 func (g *Graph) BaseState() ([]int32, []*Task) {
 	if !g.baseValid {
 		if cap(g.baseNpred) < len(g.Tasks) {
@@ -306,9 +312,9 @@ func (g *Graph) DOP() float64 {
 	return float64(len(g.Tasks)) / float64(cp)
 }
 
-// Validate checks structural invariants: edges only go forward,
-// predecessor counts match incoming edges, and kernels belong to the
-// graph. It returns the first violation found.
+// Validate checks structural invariants: edges only go forward, every
+// task's Preds mirror its incoming Succs edges, and kernels belong to
+// the graph. It returns the first violation found.
 func (g *Graph) Validate() error {
 	inDeg := make([]int, len(g.Tasks))
 	for _, t := range g.Tasks {
@@ -326,38 +332,14 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, t := range g.Tasks {
-		if t.npred != inDeg[t.ID] {
-			return fmt.Errorf("task %d npred=%d but in-degree=%d", t.ID, t.npred, inDeg[t.ID])
+		if len(t.Preds) != inDeg[t.ID] {
+			return fmt.Errorf("task %d has %d preds but in-degree %d", t.ID, len(t.Preds), inDeg[t.ID])
 		}
 	}
 	if len(g.Roots()) == 0 && len(g.Tasks) > 0 {
 		return fmt.Errorf("graph has tasks but no roots")
 	}
 	return nil
-}
-
-// ResetRuntimeState restores predecessor counters after an execution
-// consumed them, so the same graph can be run again.
-func (g *Graph) ResetRuntimeState() {
-	for _, t := range g.Tasks {
-		t.npred = 0
-		t.Decision = nil
-	}
-	for _, t := range g.Tasks {
-		for _, s := range t.Succs {
-			s.npred++
-		}
-	}
-}
-
-// DecrementPred atomically (single-threaded sim) consumes one
-// completed predecessor and reports whether the task became ready.
-func (t *Task) DecrementPred() bool {
-	if t.npred <= 0 {
-		panic(fmt.Sprintf("dag: task %d pred underflow", t.ID))
-	}
-	t.npred--
-	return t.npred == 0
 }
 
 // TotalWork sums ops and bytes over all tasks.

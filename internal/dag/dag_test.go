@@ -22,8 +22,8 @@ func TestBasicConstruction(t *testing.T) {
 	if g.NumTasks() != 3 {
 		t.Fatalf("NumTasks = %d, want 3", g.NumTasks())
 	}
-	if a.NumPred() != 0 || b.NumPred() != 1 || c.NumPred() != 2 {
-		t.Fatalf("pred counts %d,%d,%d want 0,1,2", a.NumPred(), b.NumPred(), c.NumPred())
+	if len(a.Preds) != 0 || len(b.Preds) != 1 || len(c.Preds) != 2 {
+		t.Fatalf("pred counts %d,%d,%d want 0,1,2", len(a.Preds), len(b.Preds), len(c.Preds))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -107,40 +107,31 @@ func TestForkJoinShape(t *testing.T) {
 	}
 }
 
-func TestDecrementPredAndReset(t *testing.T) {
+// TestBaseStateCountsAndRoots pins the initial ready-state runtimes
+// copy: per-task predecessor counts equal len(Preds), the roots are the
+// predecessor-free tasks, and a structural change invalidates the
+// cached state.
+func TestBaseStateCountsAndRoots(t *testing.T) {
 	g := New("g")
 	k := g.AddKernel("k", demand())
 	a := g.AddTask(k)
 	b := g.AddTask(k, a)
-	c := g.AddTask(k, a, b)
-	if b.DecrementPred() != true {
-		t.Fatal("b should become ready after its single pred completes")
+	g.AddTask(k, a, b)
+	npred, roots := g.BaseState()
+	if len(npred) != 3 || npred[0] != 0 || npred[1] != 1 || npred[2] != 2 {
+		t.Fatalf("base counts = %v, want [0 1 2]", npred)
 	}
-	if c.DecrementPred() != false {
-		t.Fatal("c should not be ready after one of two preds")
+	if len(roots) != 1 || roots[0] != a {
+		t.Fatalf("base roots = %v, want [a]", roots)
 	}
-	if c.DecrementPred() != true {
-		t.Fatal("c should be ready after both preds")
-	}
-	g.ResetRuntimeState()
-	if b.NumPred() != 1 || c.NumPred() != 2 {
-		t.Fatal("ResetRuntimeState did not restore predecessor counts")
+	d := g.AddTask(k)
+	npred, roots = g.BaseState()
+	if len(npred) != 4 || npred[3] != 0 || len(roots) != 2 || roots[1] != d {
+		t.Fatalf("after AddTask: counts %v, %d roots; want 4 counts, 2 roots", npred, len(roots))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestDecrementUnderflowPanics(t *testing.T) {
-	g := New("g")
-	k := g.AddKernel("k", demand())
-	a := g.AddTask(k)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("underflow did not panic")
-		}
-	}()
-	a.DecrementPred()
 }
 
 func TestTotalWork(t *testing.T) {
@@ -185,30 +176,59 @@ func TestPropertyRandomLayeredDAGValid(t *testing.T) {
 	}
 }
 
-// Property: ResetRuntimeState is an involution with respect to a full
-// consume cycle — after consuming every edge and resetting, the
-// predecessor counts match a freshly validated graph.
-func TestPropertyResetRestores(t *testing.T) {
+// Property: on random layered DAGs, BaseState's counts are the
+// in-degrees of the Succs edges, its roots are exactly Roots(), and
+// consuming the counts in topological order (what a run does on its
+// own copy) readies every task exactly once.
+func TestPropertyBaseStateMatchesPreds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := Chains("c", demand(), 1+rng.Intn(4), 1+rng.Intn(10))
-		want := make([]int, g.NumTasks())
-		for i, task := range g.Tasks {
-			want[i] = task.NumPred()
+		g := New("r")
+		k := g.AddKernel("k", demand())
+		layers := 2 + rng.Intn(6)
+		var prev []*Task
+		for l := 0; l < layers; l++ {
+			cur := make([]*Task, 1+rng.Intn(6))
+			for i := range cur {
+				var preds []*Task
+				for _, p := range prev {
+					if rng.Intn(2) == 0 {
+						preds = append(preds, p)
+					}
+				}
+				cur[i] = g.AddTask(k, preds...)
+			}
+			prev = cur
 		}
-		// Consume in topological (ID) order.
+		base, roots := g.BaseState()
+		inDeg := make([]int32, g.NumTasks())
 		for _, task := range g.Tasks {
 			for _, s := range task.Succs {
-				s.DecrementPred()
+				inDeg[s.ID]++
 			}
 		}
-		g.ResetRuntimeState()
-		for i, task := range g.Tasks {
-			if task.NumPred() != want[i] {
+		want := g.Roots()
+		if len(roots) != len(want) {
+			return false
+		}
+		for i := range roots {
+			if roots[i] != want[i] {
 				return false
 			}
 		}
-		return true
+		lane := append([]int32(nil), base...)
+		ready := len(roots)
+		for _, task := range g.Tasks {
+			if base[task.ID] != inDeg[task.ID] {
+				return false
+			}
+			for _, s := range task.Succs {
+				if lane[s.ID]--; lane[s.ID] == 0 {
+					ready++
+				}
+			}
+		}
+		return ready == g.NumTasks()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -289,8 +309,7 @@ func TestReuseRebuildEquivalence(t *testing.T) {
 	for i, ft := range fresh.Tasks {
 		rt := reused.Tasks[i]
 		if ft.ID != rt.ID || ft.Kernel.Name != rt.Kernel.Name || ft.Seq != rt.Seq ||
-			len(ft.Succs) != len(rt.Succs) || len(ft.Preds) != len(rt.Preds) ||
-			ft.NumPred() != rt.NumPred() {
+			len(ft.Succs) != len(rt.Succs) || len(ft.Preds) != len(rt.Preds) {
 			t.Fatalf("task %d differs after arena reuse", i)
 		}
 		for j := range ft.Succs {
@@ -302,9 +321,9 @@ func TestReuseRebuildEquivalence(t *testing.T) {
 }
 
 // TestReuseRebuildAllocFree asserts the point of the arena rewind:
-// rebuilding an identical workload into a recycled graph performs no
-// task/edge allocations (only kernel registration and builder-local
-// bookkeeping remain).
+// rebuilding an identical workload into a recycled graph allocates
+// nothing — tasks, edges and kernel structs all come from the previous
+// build's storage.
 func TestReuseRebuildAllocFree(t *testing.T) {
 	var g *Graph
 	build := func() {
@@ -320,10 +339,7 @@ func TestReuseRebuildAllocFree(t *testing.T) {
 		}
 	}
 	build()
-	allocs := testing.AllocsPerRun(20, build)
-	// One kernel struct per rebuild plus map-bucket noise; the 600
-	// tasks and their edges must come from the recycled arenas.
-	if allocs > 4 {
-		t.Fatalf("rebuild into recycled graph = %.1f allocs, want <= 4", allocs)
+	if allocs := testing.AllocsPerRun(20, build); allocs != 0 {
+		t.Fatalf("rebuild into recycled graph = %.1f allocs, want 0", allocs)
 	}
 }

@@ -8,7 +8,7 @@
 //
 // Since the warm-session refactor the drivers are thin clients of
 // service.Session: Env owns a Session whose worker pool (resident
-// runtimes, recycled graph arenas, Reset-recycled schedulers) and plan
+// runtimes, Reset-recycled schedulers), shared graph cache and plan
 // cache execute every sweep, and a figure driver only assembles jobs
 // and formats the returned reports.
 package exp
@@ -50,7 +50,7 @@ type Env struct {
 	// average reported). Must be ≥ 1; sweeps reject other values.
 	Repeats int
 	// Parallel is the number of sweep workers (each owning a
-	// long-lived Runtime and graph arena, resident in the session).
+	// long-lived Runtime, resident in the session).
 	// Must be ≥ 1; sweeps reject other values.
 	Parallel int
 	// SharePlans lets model-driven schedulers reuse trained per-kernel
@@ -69,12 +69,6 @@ type Env struct {
 	// scale⟩, so sharing one cache across schedulers and figures is
 	// safe. LoadPlanStore / SavePlanStore persist it across processes.
 	Plans *sched.PlanCache
-	// NoBatch disables batched lockstep repeats for the Env's sweeps
-	// (service.SweepRequest.NoBatch). Batching only changes how the
-	// dispatcher hands a cell's repeats to workers — results are
-	// bit-identical either way — so it stays on by default; the flag
-	// exists for benchmarking the scalar path.
-	NoBatch bool
 	// SensorPeriodSec overrides the simulated INA3221's 5 ms sampling
 	// period for every run the Env executes (0 = paper default), and
 	// SensorOff removes the sensor entirely — reports then carry only
@@ -166,10 +160,10 @@ type sweepJob struct {
 
 // sweep submits jobs to the Env's warm session: the ⟨cell, repeat,
 // seed⟩ run units enter the session's fair-share dispatcher, whose
-// pool workers — each owning a long-lived Runtime, recycled graph
-// arenas and Reset-recycled schedulers — drain them largest-cell-first
-// (Parallel bounds this request's share) and merge each cell's repeats
-// in repeat order (taskrt.MeanReport). Results do not depend on worker
+// pool workers — each owning a long-lived Runtime and Reset-recycled
+// schedulers, all reading the session's shared graphs — drain them
+// largest-cell-first (Parallel bounds this request's share) and merge
+// each cell's repeats in repeat order (taskrt.MeanReport). Results do not depend on worker
 // count, dispatch order or co-resident requests (with the opt-in
 // exception of SharePlans, which trades that independence for skipped
 // sampling). Reports are keyed by workload name then label.
@@ -187,7 +181,6 @@ func (e *Env) sweep(jobs []sweepJob) map[string]map[string]taskrt.Report {
 		Repeats:         e.Repeats,
 		Parallel:        e.Parallel,
 		SharePlans:      e.SharePlans,
-		NoBatch:         e.NoBatch,
 		SensorPeriodSec: e.SensorPeriodSec,
 		SensorOff:       e.SensorOff,
 		Plans:           e.Plans,

@@ -124,16 +124,6 @@ type JobHandle struct {
 	trainCancel  []atomic.Bool
 	earlyStopped atomic.Int64
 
-	// laneDone[cell] counts the lanes an in-flight batched claim has
-	// completed so far: the dispatcher books a batched claim's units
-	// only when the whole claim returns, so without this overlay a
-	// one-cell 8000-repeat job would show zero progress until done.
-	// runBatch advances it lane by lane and zeroes it just before the
-	// claim returns (the dispatcher then books the same units under its
-	// own lock), so Status may transiently undercount but never
-	// double-counts.
-	laneDone []atomic.Int32
-
 	// journaled marks jobs whose spec went into the session's job
 	// store; finalize journals their result on completion.
 	journaled bool
@@ -204,7 +194,6 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 		cellMeans:   make([]taskrt.Report, nCells),
 		cellReady:   make([]bool, nCells),
 		cellAborted: make([]atomic.Bool, nCells),
-		laneDone:    make([]atomic.Int32, nCells),
 		cells:       make(chan CellResult, nCells),
 		start:       time.Now(),
 		doneCh:      make(chan struct{}),
@@ -231,36 +220,6 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 	s.jobMu.Unlock()
 
 	s.ensureWorkers(h.width)
-	// With batching on, the dispatcher may hand a whole cell to one
-	// worker; the claim's lanes write the same unitReports slots the
-	// scalar units would, so the merge path below is identical.
-	var runBatch func(wid, cell int) int
-	if !req.NoBatch {
-		runBatch = func(wid, cell int) int {
-			t0 := h.markDispatched()
-			out := h.unitReports[cell*req.Repeats : (cell+1)*req.Repeats]
-			done, evals := s.runBatch(s.workerAt(wid), h, cell, out)
-			h.evals.Add(int64(evals))
-			if m := s.metrics; m != nil && evals > 0 {
-				m.planEvals.Add(int64(evals))
-				m.planSearch.Observe(time.Since(t0).Seconds())
-			}
-			// The dispatcher books this claim's units the moment we
-			// return; hand progress accounting back to it.
-			h.laneDone[cell].Store(0)
-			if done == req.Repeats {
-				return done
-			}
-			// The cancel aborted lane `done` mid-simulation — that lane
-			// ran and counts as interrupted, like a scalar abort. The
-			// lanes after it never started; reporting done+1 executed
-			// repeats makes the dispatcher account them as dropped,
-			// exactly like scalar units a cancel dequeues.
-			h.cellAborted[cell].Store(true)
-			h.aborted.Add(1)
-			return done + 1
-		}
-	}
 	d, err := s.pool.Admit(dispatch.Spec{
 		Cells:    nCells,
 		Repeats:  req.Repeats,
@@ -268,7 +227,6 @@ func (s *Session) Enqueue(req SweepRequest) (*JobHandle, error) {
 		Width:    h.width,
 		Weight:   req.Weight,
 		Deadline: deadline,
-		RunBatch: runBatch,
 		Run: func(wid int, u dispatch.Unit) {
 			t0 := h.markDispatched()
 			rep, evals, aborted := s.runUnit(s.workerAt(wid), h, u.Cell, u.Repeat)
@@ -561,12 +519,6 @@ func (h *JobHandle) Status() JobStatus {
 		done := 0
 		if i < len(cellDone) {
 			done = cellDone[i]
-		}
-		// Overlay the lanes an in-flight batched claim has completed;
-		// the dispatcher only books them when the claim returns.
-		if lanes := int(h.laneDone[i].Load()); lanes > 0 {
-			done += lanes
-			st.UnitsDone += lanes
 		}
 		st.Cells[i] = CellStatus{
 			Workload:    j.Workload.Name,

@@ -3,10 +3,11 @@
 // or unix socket) and by tests. The wire schema is deliberately small
 // and additive — unknown request fields are ignored, response fields
 // only ever get added — so clients and daemons can evolve
-// independently.
+// independently. (The retired `batch` field is one such field: older
+// clients and fleet shards still send it, and it changes nothing.)
 //
 //	POST /sweep    {benchmarks, schedulers, scale, seed, repeats,
-//	                parallel, share_plans, batch, sensor_period_sec,
+//	                parallel, share_plans, sensor_period_sec,
 //	                sensor_off}
 //	             → {reports: {bench: {sched: report}}, plan_evals,
 //	                units, workers, plans_cached, elapsed_sec}
@@ -95,18 +96,14 @@ type WireSweepRequest struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Schedulers are names ParseScheduler accepts; empty means the
 	// paper's six.
-	Schedulers []string `json:"schedulers,omitempty"`
-	Scale      float64  `json:"scale,omitempty"` // 0 = workloads.DefaultScale
-	Seed       *int64   `json:"seed,omitempty"`  // null = 1; 0 is a valid seed
-	Repeats    int      `json:"repeats,omitempty"`
-	Parallel   int      `json:"parallel,omitempty"`
-	SharePlans *bool    `json:"share_plans,omitempty"` // null = true
-	// Batch opts the sweep in or out of batched lockstep repeats
-	// (null = true). Batching only changes claim granularity on the
-	// dispatcher — results are bit-identical either way.
-	Batch           *bool   `json:"batch,omitempty"`
-	SensorPeriodSec float64 `json:"sensor_period_sec,omitempty"`
-	SensorOff       bool    `json:"sensor_off,omitempty"`
+	Schedulers      []string `json:"schedulers,omitempty"`
+	Scale           float64  `json:"scale,omitempty"` // 0 = workloads.DefaultScale
+	Seed            *int64   `json:"seed,omitempty"`  // null = 1; 0 is a valid seed
+	Repeats         int      `json:"repeats,omitempty"`
+	Parallel        int      `json:"parallel,omitempty"`
+	SharePlans      *bool    `json:"share_plans,omitempty"` // null = true
+	SensorPeriodSec float64  `json:"sensor_period_sec,omitempty"`
+	SensorOff       bool     `json:"sensor_off,omitempty"`
 	// Weight scales the job's fair share on the dispatcher (0 = 1).
 	Weight float64 `json:"weight,omitempty"`
 	// DeadlineMS is a relative soft deadline used only to break
@@ -122,7 +119,6 @@ type WireRunRequest struct {
 	Seed            *int64  `json:"seed,omitempty"` // null = 1; 0 is a valid seed
 	Repeats         int     `json:"repeats,omitempty"`
 	SharePlans      *bool   `json:"share_plans,omitempty"`
-	Batch           *bool   `json:"batch,omitempty"` // null = true
 	SensorPeriodSec float64 `json:"sensor_period_sec,omitempty"`
 	SensorOff       bool    `json:"sensor_off,omitempty"`
 }
@@ -513,7 +509,6 @@ func (s *Session) buildRequest(wr WireSweepRequest) (SweepRequest, error) {
 		Repeats:         wr.Repeats,
 		Parallel:        wr.Parallel,
 		SharePlans:      wr.SharePlans == nil || *wr.SharePlans,
-		NoBatch:         wr.Batch != nil && !*wr.Batch,
 		SensorPeriodSec: wr.SensorPeriodSec,
 		SensorOff:       wr.SensorOff,
 		Weight:          wr.Weight,
@@ -849,7 +844,6 @@ func NewHandler(s *Session) http.Handler {
 			Seed:            wr.Seed,
 			Repeats:         wr.Repeats,
 			SharePlans:      wr.SharePlans,
-			Batch:           wr.Batch,
 			SensorPeriodSec: wr.SensorPeriodSec,
 			SensorOff:       wr.SensorOff,
 		})

@@ -72,6 +72,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`joss_http_requests_total{code="2xx",endpoint="/run"}`,
 		`joss_http_request_seconds_bucket{endpoint="/run",le="+Inf"}`,
 		"joss_service_uptime_seconds",
+		"joss_service_graph_evictions_total",
+		`joss_dispatch_claims_total{claim="scalar"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics output missing %q", want)
@@ -100,6 +102,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if p, ok := byName["joss_service_job_service_seconds"]; !ok || p.Type != "histogram" || p.Value < 1 {
 		t.Errorf("json snapshot job_service histogram = %+v, want >= 1 observation", p)
+	}
+	// The /run and the async job name the same ⟨SLU, 0.02⟩ cell: one
+	// build, every later lookup a hit.
+	if p := byName["joss_service_graph_builds_total"]; p.Type != "counter" || p.Value != 1 {
+		t.Errorf("json snapshot graph_builds = %+v, want counter at 1", p)
+	}
+	if p := byName["joss_service_graph_hits_total"]; p.Value < 2 {
+		t.Errorf("json snapshot graph_hits = %+v, want >= 2", p)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package service is the warm-session layer between the experiment
 // drivers (package exp), the CLI daemons (cmd/jossd) and the execution
 // core: a Session is a long-lived object holding the trained models,
-// a fixed pool of workers — each owning a resident taskrt.Runtime,
-// recycled dag.Graph arenas and Reset-recycled schedulers — and the
-// shared persistent sched.PlanCache. It serves an unbounded stream of
+// a fixed pool of workers — each owning a resident taskrt.Runtime and
+// Reset-recycled schedulers — a cache of built workload DAGs every
+// worker reads concurrently, and the shared persistent
+// sched.PlanCache. It serves an unbounded stream of
 // sweep requests without per-invocation training: the first request
 // pays cold-start setup and plan search, every later request runs at
 // warm-path allocation counts, and requests for kernels the plan store
@@ -38,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"joss/internal/dag"
 	"joss/internal/dispatch"
 	"joss/internal/jobstore"
 	"joss/internal/models"
@@ -127,7 +127,7 @@ func DefaultConfig() (Config, error) {
 
 // Session is the warm execution service. Admitted requests share one
 // dispatcher-fed worker pool, and every resource a request warms —
-// runtimes, graph arenas, scheduler scratch, oracle memos, trained
+// runtimes, built graphs, scheduler scratch, oracle memos, trained
 // plans — stays resident for the next one.
 type Session struct {
 	oracle    *platform.Oracle
@@ -148,12 +148,14 @@ type Session struct {
 
 	// costMu guards the ⟨workload name, scale⟩ → cell-info memo (task
 	// count for dispatch costing, kernel identities for plan-key
-	// enumeration) and its scratch graph; a distinct workload pays one
-	// scratch DAG build per session, after which dispatch planning is
-	// allocation-free.
+	// enumeration). Unlike graphs it is never evicted, so dispatch
+	// planning stays allocation-free once the session has seen a
+	// workload.
 	costMu sync.Mutex
 	costs  map[costKey]cellInfo
-	costG  *dag.Graph
+
+	// graphs holds the built DAGs every run unit reads.
+	graphs *graphCache
 
 	// jobMu guards the job registry (id → handle, admission order)
 	// and the restored-job registry replayed from the job journal.
@@ -246,6 +248,7 @@ func New(cfg Config) (*Session, error) {
 		s.metrics = newSessionMetrics(s.registry, s)
 		s.pool.SetMetrics(dispatch.NewMetrics(s.registry, s.pool))
 	}
+	s.graphs = newGraphCache(s.registry)
 	if s.storePath != "" {
 		if _, err := s.plans.LoadFile(s.storePath); err != nil {
 			return nil, err
@@ -419,9 +422,9 @@ func (s *Session) WaitIdle() {
 // must build a fresh scheduler each call; within one request — and
 // across requests on one session — a Label must always denote the same
 // constructor, because workers recycle cached schedulers per label.
-// Likewise a workload Name must always denote the same DAG shape at a
-// given scale (the session memoizes its task count for dispatch
-// costing).
+// Likewise a workload Name must always denote the same DAG at a given
+// scale: the session builds it once and shares the built graph with
+// every unit that names it.
 type Job struct {
 	Workload workloads.Config
 	Label    string
@@ -451,18 +454,6 @@ type SweepRequest struct {
 	// run samples afresh and results are bit-reproducible regardless
 	// of request history and co-resident requests.
 	SharePlans bool
-	// NoBatch disables batched claims for this request. With batching
-	// on (the default — the zero value), the dispatcher may hand all
-	// Repeats of one cell to a single worker, which runs them as lanes
-	// of one runtime (taskrt.RunBatch): one DAG build, one warm oracle
-	// memo and one Reset-recycled scheduler serve every repeat, instead
-	// of each repeat paying them on whichever worker it lands on.
-	// Batching is a density policy only — lane reports are bit-identical
-	// to scalar ⟨cell, repeat⟩ units, and the dispatcher falls back to
-	// scalar units under contention (so small probes still overtake)
-	// and near a request's tail (so the last cells' repeats spread over
-	// workers). The wire field is `batch` (null = true).
-	NoBatch bool
 	// SensorPeriodSec overrides the simulated INA3221's 5 ms sampling
 	// period (0 = paper default); SensorOff removes the sensor.
 	SensorPeriodSec float64
@@ -530,8 +521,7 @@ type SweepResult struct {
 	Cancelled bool
 	// Interrupted counts run units aborted mid-simulation by the
 	// cooperative cancel (Cancelled requests only; dropped queued
-	// units — including the never-started lanes of a cancelled
-	// batched claim — are counted in Units−UnitsDone instead).
+	// units are counted in Units−UnitsDone instead).
 	// Aborted units produce no report and their cells are absent
 	// from Reports.
 	Interrupted int
@@ -542,20 +532,12 @@ type SweepResult struct {
 
 // worker is the long-lived execution environment one pool slot owns: a
 // Runtime whose engine, machine, pools and oracle memo are recycled
-// with Reset between runs, a graph whose task/edge arenas are recycled
-// with BuildReuse between cells, and a per-label cache of recyclable
-// schedulers (ModelSched.Reset / sched.RunResetter) — all lazily built
+// with Reset between runs, and a per-label cache of recyclable
+// schedulers (ModelSched.Reset / sched.RunResetter) — both lazily built
 // on the worker's first unit and retained across jobs.
 type worker struct {
-	rt *taskrt.Runtime
-	g  *dag.Graph
-	// lastJob/lastCell key the graph currently built into the arenas;
-	// jobs interleave on the pool, so the key is ⟨job, cell⟩ rather
-	// than a request-scoped cell index.
-	lastJob  int64
-	lastCell int
-	scheds   map[string]taskrt.Scheduler
-	seeds    []int64 // recycled RunBatch seed buffer
+	rt     *taskrt.Runtime
+	scheds map[string]taskrt.Scheduler
 }
 
 // workerAt returns the state slot for a dispatch worker id, growing
@@ -570,7 +552,7 @@ func (s *Session) workerAt(id int) *worker {
 func (s *Session) ensureWorkers(n int) {
 	s.workerMu.Lock()
 	for len(s.workers) < n {
-		s.workers = append(s.workers, &worker{lastJob: -1})
+		s.workers = append(s.workers, &worker{})
 	}
 	s.workerMu.Unlock()
 	s.pool.Grow(n)
@@ -584,7 +566,7 @@ type costKey struct {
 
 // kernelIdent is a kernel's cache-relevant identity — the two fields
 // sched.PlanKey reads from a dag.Kernel — detached from any built
-// graph so the memo survives arena reuse.
+// graph so the memo survives graph eviction.
 type kernelIdent struct {
 	name   string
 	demand platform.TaskDemand
@@ -599,26 +581,30 @@ type cellInfo struct {
 }
 
 // cellFacts returns the workload's memoized cell info at the given
-// scale. The first lookup per ⟨name, scale⟩ pays one scratch build
-// into a session-resident recycled arena; every later one is a map
-// hit, so admission-time planning allocates nothing once the session
-// has seen its workloads.
+// scale. The first lookup per ⟨name, scale⟩ reads the shape off the
+// graph cache's build (outside costMu, so distinct workloads build in
+// parallel) — the same build the cell's run units then share; every
+// later one is a map hit, so admission-time planning allocates nothing
+// once the session has seen its workloads.
 func (s *Session) cellFacts(wl workloads.Config, scale float64) cellInfo {
 	k := costKey{wl.Name, scale}
 	s.costMu.Lock()
-	defer s.costMu.Unlock()
-	if c, ok := s.costs[k]; ok {
+	c, ok := s.costs[k]
+	s.costMu.Unlock()
+	if ok {
 		return c
 	}
-	s.costG = wl.BuildReuse(s.costG, scale)
-	c := cellInfo{
-		tasks:   s.costG.NumTasks(),
-		kernels: make([]kernelIdent, 0, len(s.costG.Kernels)),
+	g := s.graphs.get(wl, scale)
+	c = cellInfo{
+		tasks:   g.NumTasks(),
+		kernels: make([]kernelIdent, 0, len(g.Kernels)),
 	}
-	for _, kn := range s.costG.Kernels {
+	for _, kn := range g.Kernels {
 		c.kernels = append(c.kernels, kernelIdent{kn.Name, kn.Demand})
 	}
+	s.costMu.Lock()
 	s.costs[k] = c
+	s.costMu.Unlock()
 	return c
 }
 
@@ -688,19 +674,14 @@ func (s *Session) schedulerFor(w *worker, j Job, req *SweepRequest, plans *sched
 // runUnit executes one run unit — a single seeded repeat of one cell —
 // on the worker's recycled environment, returning the report, the
 // plan-search evaluations the unit performed, and whether the run was
-// aborted mid-simulation by the job's cancel flag. The workload is
-// rebuilt into the worker's arenas only when the unit belongs to a
-// different ⟨job, cell⟩ than the worker's previous one (execution
-// never mutates the graph — per-run task state lives in the runtime's
-// lane — so same-cell units re-run the built DAG as-is, even after an
-// aborted run).
+// aborted mid-simulation by the job's cancel flag. The cell's DAG
+// comes from the session's graph cache and is shared read-only with
+// every other unit running it: execution never mutates a graph (per-run
+// task state lives in the runtime), even when a run is aborted.
 func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Report, int, bool) {
 	req := &h.req
 	j := req.Jobs[cell]
-	if w.g == nil || w.lastJob != h.seq || w.lastCell != cell {
-		w.g = j.Workload.BuildReuse(w.g, req.Scale)
-		w.lastJob, w.lastCell = h.seq, cell
-	}
+	g := s.graphs.get(j.Workload, req.Scale)
 	sc := s.schedulerFor(w, j, req, h.plans)
 	seed := req.Seed + int64(repeat)
 	opt := runOptions(req, seed)
@@ -732,9 +713,9 @@ func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Rep
 			// path must do the same for the Gantt/busy views to size.
 			opt.Trace.NumCore = w.rt.M.NumCores()
 		}
-		w.rt.Reset(w.g)
+		w.rt.Reset(g)
 	}
-	rep := w.rt.Run(w.g)
+	rep := w.rt.Run(g)
 	evals := 0
 	if ms, ok := sc.(*sched.ModelSched); ok {
 		evals = ms.TotalEvals
@@ -743,62 +724,6 @@ func (s *Session) runUnit(w *worker, h *JobHandle, cell, repeat int) (taskrt.Rep
 		return taskrt.Report{}, evals, true
 	}
 	return rep, evals, false
-}
-
-// runBatch is runUnit's batched sibling: it executes all Repeats of
-// one cell as lanes of the worker's runtime (taskrt.RunBatch), writing
-// each completed lane's report into out[repeat]. The cell's DAG is
-// built once, the worker's warm oracle memo serves every lane, and the
-// cell's scheduler is recycled across lanes through schedulerFor's
-// reset contracts — exactly the per-repeat costs the scalar path pays
-// per ⟨worker, cell⟩ encounter. Lane reports are bit-identical to the
-// scalar path's because each lane performs the same Reset+Run sequence
-// under the same seed. Returns the lanes completed (fewer than Repeats
-// only when the job's cancel flag interrupted the batch) and the
-// plan-search evaluations performed across all lanes.
-func (s *Session) runBatch(w *worker, h *JobHandle, cell int, out []taskrt.Report) (int, int) {
-	req := &h.req
-	j := req.Jobs[cell]
-	if w.g == nil || w.lastJob != h.seq || w.lastCell != cell {
-		w.g = j.Workload.BuildReuse(w.g, req.Scale)
-		w.lastJob, w.lastCell = h.seq, cell
-	}
-	opt := runOptions(req, req.Seed)
-	opt.Cancel = &h.cancel
-	if w.rt == nil {
-		w.rt = taskrt.New(s.oracle, nil, opt)
-	} else {
-		w.rt.Opt = opt
-	}
-	if cap(w.seeds) < req.Repeats {
-		w.seeds = make([]int64, req.Repeats)
-	}
-	seeds := w.seeds[:req.Repeats]
-	for r := range seeds {
-		seeds[r] = req.Seed + int64(r)
-	}
-	// schedulerFor resets the recycled scheduler (clearing TotalEvals),
-	// so the previous lane's evaluations are read just before each
-	// handoff and once more after the last lane.
-	evals := 0
-	var cur taskrt.Scheduler
-	next := func(lane int) taskrt.Scheduler {
-		if lane > 0 {
-			// Lanes [0, lane) are complete; publish the in-flight
-			// progress the dispatcher cannot see until the claim returns.
-			h.laneDone[cell].Store(int32(lane))
-		}
-		if ms, ok := cur.(*sched.ModelSched); ok {
-			evals += ms.TotalEvals
-		}
-		cur = s.schedulerFor(w, j, req, h.plans)
-		return cur
-	}
-	done := w.rt.RunBatch(w.g, seeds, next, out)
-	if ms, ok := cur.(*sched.ModelSched); ok {
-		evals += ms.TotalEvals
-	}
-	return done, evals
 }
 
 // Submit executes one sweep request and returns the per-cell mean

@@ -370,7 +370,6 @@ func (s *Session) runTrain(h *TrainHandle) {
 			Repeats:         1,
 			Parallel:        h.parallel,
 			SharePlans:      true,
-			NoBatch:         true,
 			SensorPeriodSec: h.sensorP,
 			SensorOff:       h.sensorOf,
 			Plans:           h.plans,

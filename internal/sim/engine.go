@@ -247,7 +247,8 @@ func (e *Engine) Reset() {
 // event — so Processed is a pure function of the schedule/cancel
 // sequence the simulation produced, never of which loop (Run,
 // RunLimit, RunUntil) happened to drain the queue. That is what makes
-// event counts comparable between scalar runs and RunBatch lanes.
+// event counts comparable between cancellable (RunLimit-polled) and
+// plain runs.
 func (e *Engine) Step() bool {
 	ev := e.pop()
 	if ev == nil {

@@ -156,11 +156,9 @@ type Stats struct {
 	TasksByType [platform.NumCoreTypes]int
 	// Events is the number of simulation events the engine processed
 	// over the whole run (trailing scheduler timers included), captured
-	// from sim.Engine.Processed when the event loop drains. One
-	// lane-step is one event: a seeded run reports the same count
-	// whether it executed as a scalar ⟨cell, repeat⟩ unit or as a lane
-	// of RunBatch — the comparability contract the batched differential
-	// tests assert.
+	// from sim.Engine.Processed when the event loop drains. A seeded
+	// run reports the same count on a fresh or a Reset-reused runtime,
+	// on a private or a shared graph.
 	Events int
 	// Kernels counts task executions per kernel per core type, in
 	// graph kernel order (kernels that executed no task are omitted).
@@ -381,13 +379,12 @@ type Runtime struct {
 	finished    bool
 	interrupted bool
 
-	// Per-run task-state lane (structure-of-arrays, indexed by
-	// Task.ID): the unfinished-predecessor counters and pending
-	// scheduler decisions of the current execution. Keeping them here —
-	// not on dag.Task — leaves the graph immutable during execution, so
-	// one built DAG serves any number of lanes (RunBatch) or repeated
-	// runs without per-run Graph.ResetRuntimeState walks: starting a
-	// lane is one memcpy of the graph's cached base counters.
+	// Per-run task state (structure-of-arrays, indexed by Task.ID):
+	// the unfinished-predecessor counters and pending scheduler
+	// decisions of the current execution. Keeping them here — not on
+	// dag.Task — leaves the graph immutable during execution, so one
+	// built DAG serves any number of concurrent or repeated runs:
+	// starting a run is one memcpy of the graph's cached base counters.
 	npred []int32
 	decs  []*Decision
 
@@ -603,9 +600,11 @@ func (rt *Runtime) newSlab() *demandCache {
 // Run executes the graph to completion and returns the report. A
 // finished Runtime must be rewound with Reset before it can Run again.
 // Execution never mutates g: per-run predecessor counters and pending
-// decisions live in the runtime's own task-state lane, seeded from the
+// decisions live in the runtime's own task-state arrays, seeded from the
 // graph's cached base state, so the same built graph can back any
-// number of runs (or RunBatch lanes) concurrently across runtimes.
+// number of runs concurrently across runtimes — provided g.BaseState was
+// called once before the graph was shared, since its first call fills
+// that cache.
 func (rt *Runtime) Run(g *dag.Graph) Report {
 	if rt.finished {
 		panic("taskrt: Runtime has finished a run; call Reset before reusing it")
@@ -687,7 +686,7 @@ func (rt *Runtime) Run(g *dag.Graph) Report {
 // zero-measurement Report is returned. Nothing else is torn down here
 // — Reset already rewinds the engine's pending events, the per-core
 // deques, the machine and the meter, and the next Run re-seeds the
-// task-state lane from the graph's base state — so an aborted runtime
+// task-state arrays from the graph's base state — so an aborted runtime
 // is reusable exactly like a finished one. Pooled Decision/execState
 // boxes still referenced by the abandoned run are simply not
 // recycled; fresh ones are allocated on demand.

@@ -84,12 +84,13 @@ func hdInto(reuse *dag.Graph, size HDSize, scale float64) *dag.Graph {
 	for it := 0; it < iters; it++ {
 		var jrow [blocks]*dag.Task
 		for b := 0; b < blocks; b++ {
-			var preds []*dag.Task
+			// A stack buffer, not a growing slice: AddTask only reads
+			// preds, so the build allocates nothing per task.
+			var buf [3]*dag.Task
+			preds := buf[:0]
 			if it > 0 {
-				for _, nb := range []int{b - 1, b, b + 1} {
-					if nb >= 0 && nb < blocks {
-						preds = append(preds, prevCopy[nb])
-					}
+				for nb := max(b-1, 0); nb <= min(b+1, blocks-1); nb++ {
+					preds = append(preds, prevCopy[nb])
 				}
 			}
 			jrow[b] = g.AddTask(jac, preds...)
@@ -186,7 +187,7 @@ func fbInto(reuse *dag.Graph, scale float64) *dag.Graph {
 // vggLayers describes the fork width and kernel behaviour of each
 // VGG-16 layer in the fork-join DAG (Table 1: 768×576 RGB image,
 // block size 64, 5090 tasks over 10 iterations).
-var vggLayers = []struct {
+var vggLayers = [...]struct {
 	name   string
 	blocks int
 	conv   bool
@@ -199,6 +200,9 @@ var vggLayers = []struct {
 	{"fc6", 32, false}, {"fc7", 16, false}, {"fc8", 5, false},
 }
 
+// vggMaxBlocks bounds vggLayers' fork widths.
+const vggMaxBlocks = 64
+
 // VG builds the Darknet VGG-16 CNN inference DAG: 16 layers, each a
 // fork of per-block kernel tasks joined by a layer barrier, iterated
 // 10 times.
@@ -207,8 +211,8 @@ func VG(scale float64) *dag.Graph { return vgInto(nil, scale) }
 func vgInto(reuse *dag.Graph, scale float64) *dag.Graph {
 	iters := scaled(10, scale, 1)
 	g := dag.Renew(reuse, "VG")
-	var kernels []*dag.Kernel
-	for _, l := range vggLayers {
+	var kernels [len(vggLayers)]*dag.Kernel
+	for li, l := range vggLayers {
 		d := platform.TaskDemand{
 			// Convolutions are GEMM-like and compute-bound; FC layers
 			// stream large weight matrices and are memory-bound.
@@ -224,7 +228,7 @@ func vgInto(reuse *dag.Graph, scale float64) *dag.Graph {
 			d.Activity = 0.6
 			d.RowHit = 0.9
 		}
-		kernels = append(kernels, g.AddKernel(l.name, d))
+		kernels[li] = g.AddKernel(l.name, d)
 	}
 	join := g.AddKernel("layer_join", platform.TaskDemand{
 		Ops: 0.1e6, Bytes: 0.1e6, ParEff: 0.4, Activity: 0.5, RowHit: 0.8,
@@ -232,7 +236,8 @@ func vgInto(reuse *dag.Graph, scale float64) *dag.Graph {
 	var barrier *dag.Task
 	for it := 0; it < iters; it++ {
 		for li, l := range vggLayers {
-			tasks := make([]*dag.Task, l.blocks)
+			var buf [vggMaxBlocks]*dag.Task // stack, not heap: AddTask only reads it
+			tasks := buf[:l.blocks]
 			for b := range tasks {
 				if barrier == nil {
 					tasks[b] = g.AddTask(kernels[li])
@@ -267,7 +272,7 @@ func biInto(reuse *dag.Graph, scale float64) *dag.Graph {
 	agg := g.AddKernel("aggregate", platform.TaskDemand{
 		Ops: 1e6, Bytes: 2e6, ParEff: 0.5, Activity: 0.5, RowHit: 0.85,
 	})
-	var all []*dag.Task
+	first := g.NumTasks()
 	for i := 0; i < n; i++ {
 		var t *dag.Task
 		switch i % 4 {
@@ -281,9 +286,11 @@ func biInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		// Combination sizes vary within each class (±30%,
 		// deterministic): the heterogeneity the use case exhibits.
 		t.DemandScale = 0.7 + 0.6*float64((i*2654435761)%1000)/1000
-		all = append(all, t)
 	}
-	g.AddTask(agg, all...)
+	// The combinations are the contiguous run of tasks just created.
+	// AddTask only reads preds, and appending the aggregate never
+	// rewrites that prefix of g.Tasks, so it can be passed directly.
+	g.AddTask(agg, g.Tasks[first:]...)
 	return g
 }
 
@@ -309,12 +316,11 @@ func alInto(reuse *dag.Graph, scale float64) *dag.Graph {
 	for it := 0; it < iters; it++ {
 		var cur [parts]*dag.Task
 		for p := 0; p < parts; p++ {
-			var preds []*dag.Task
+			var buf [3]*dag.Task // see hdInto: no per-task allocation
+			preds := buf[:0]
 			if it > 0 {
-				for _, np := range []int{p - 1, p, p + 1} {
-					if np >= 0 && np < parts {
-						preds = append(preds, prev[np])
-					}
+				for np := max(p-1, 0); np <= min(p+1, parts-1); np++ {
+					preds = append(preds, prev[np])
 				}
 			}
 			cur[p] = g.AddTask(spmv, preds...)
@@ -329,10 +335,13 @@ func alInto(reuse *dag.Graph, scale float64) *dag.Graph {
 // the paper's totals: 11440 tasks of which BMOD is 91% (§7.1).
 func SLU(scale float64) *dag.Graph { return sluInto(nil, scale) }
 
+// sluMaxBlocks is SLU's block-matrix dimension at paper scale.
+const sluMaxBlocks = 32
+
 func sluInto(reuse *dag.Graph, scale float64) *dag.Graph {
-	n := 32
+	n := sluMaxBlocks
 	if scale < 1 {
-		n = int(math.Round(32 * math.Cbrt(scale)))
+		n = int(math.Round(sluMaxBlocks * math.Cbrt(scale)))
 		if n < 6 {
 			n = 6
 		}
@@ -354,15 +363,13 @@ func sluInto(reuse *dag.Graph, scale float64) *dag.Graph {
 		Ops: 34e6, Bytes: 1.1e6, ParEff: 1.0, Activity: 1.0, RowHit: 0.8,
 	})
 
-	// last[i][j] is the last task that wrote block (i,j).
-	last := make([][]*dag.Task, n)
-	for i := range last {
-		last[i] = make([]*dag.Task, n)
-	}
+	// last[i][j] is the last task that wrote block (i,j); n never
+	// exceeds sluMaxBlocks, so it fits a stack array.
+	var last [sluMaxBlocks][sluMaxBlocks]*dag.Task
 	// dep filters nil writers into a reused scratch buffer; AddTask
 	// consumes the slice immediately, so reuse is safe and the builder
-	// avoids one allocation per task.
-	depScratch := make([]*dag.Task, 0, 3)
+	// allocates nothing per task.
+	var depScratch [3]*dag.Task
 	dep := func(ts ...*dag.Task) []*dag.Task {
 		out := depScratch[:0]
 		for _, t := range ts {
@@ -392,9 +399,18 @@ func sluInto(reuse *dag.Graph, scale float64) *dag.Graph {
 // MM builds the synthetic Matrix Multiplication benchmark: independent
 // chains of tile-GEMM tasks with configurable DAG parallelism
 // (Table 1: tile 256 → 10000 tasks, tile 512 → 2000 tasks).
-func MM(tile, dop int, scale float64) *dag.Graph { return mmInto(nil, tile, dop, scale) }
+func MM(tile, dop int, scale float64) *dag.Graph {
+	return mmInto(nil, synthName("MM", tile, dop), tile, dop, scale)
+}
 
-func mmInto(reuse *dag.Graph, tile, dop int, scale float64) *dag.Graph {
+// synthName spells a synthetic benchmark configuration's name (e.g.
+// MM_256_dop4). The *Into builders take it precomputed so a rebuild
+// into a recycled graph does not format a fresh string.
+func synthName(kind string, size, dop int) string {
+	return fmt.Sprintf("%s_%d_dop%d", kind, size, dop)
+}
+
+func mmInto(reuse *dag.Graph, name string, tile, dop int, scale float64) *dag.Graph {
 	total := 10000
 	d := platform.TaskDemand{
 		Ops: 2 * 256 * 256 * 256, Bytes: 0.9e6, ParEff: 0.95, Activity: 1.0, RowHit: 0.9,
@@ -405,15 +421,17 @@ func mmInto(reuse *dag.Graph, tile, dop int, scale float64) *dag.Graph {
 		d.Bytes = 3.5e6
 	}
 	total = scaled(total, scale, dop*2)
-	return buildChains(reuse, fmt.Sprintf("MM_%d_dop%d", tile, dop), "mm_tile", d, dop, total)
+	return buildChains(reuse, name, "mm_tile", d, dop, total)
 }
 
 // MC builds the synthetic Matrix Copy benchmark: streaming tasks that
 // continuously read and write main memory (Table 1: 4096 → 20000
 // tasks, 8192 → 10000 tasks).
-func MC(size, dop int, scale float64) *dag.Graph { return mcInto(nil, size, dop, scale) }
+func MC(size, dop int, scale float64) *dag.Graph {
+	return mcInto(nil, synthName("MC", size, dop), size, dop, scale)
+}
 
-func mcInto(reuse *dag.Graph, size, dop int, scale float64) *dag.Graph {
+func mcInto(reuse *dag.Graph, name string, size, dop int, scale float64) *dag.Graph {
 	total := 20000
 	bytes := 3.0e6
 	if size == 8192 {
@@ -424,15 +442,17 @@ func mcInto(reuse *dag.Graph, size, dop int, scale float64) *dag.Graph {
 		Ops: 0.3e6, Bytes: bytes, ParEff: 0.9, Activity: 0.4, RowHit: 0.95,
 	}
 	total = scaled(total, scale, dop*2)
-	return buildChains(reuse, fmt.Sprintf("MC_%d_dop%d", size, dop), "mc_copy", d, dop, total)
+	return buildChains(reuse, name, "mc_copy", d, dop, total)
 }
 
 // ST builds the synthetic Stencil benchmark: repeated neighbour
 // updates on a multi-dimensional grid (Table 1: 512 and 2048 grids,
 // 50000 tasks each).
-func ST(size, dop int, scale float64) *dag.Graph { return stInto(nil, size, dop, scale) }
+func ST(size, dop int, scale float64) *dag.Graph {
+	return stInto(nil, synthName("ST", size, dop), size, dop, scale)
+}
 
-func stInto(reuse *dag.Graph, size, dop int, scale float64) *dag.Graph {
+func stInto(reuse *dag.Graph, name string, size, dop int, scale float64) *dag.Graph {
 	total := 50000
 	d := platform.TaskDemand{
 		Ops: 1.8e6, Bytes: 1.1e6, ParEff: 0.9, Activity: 0.75, RowHit: 0.8,
@@ -442,7 +462,7 @@ func stInto(reuse *dag.Graph, size, dop int, scale float64) *dag.Graph {
 		d.Bytes = 4.5e6
 	}
 	total = scaled(total, scale, dop*2)
-	return buildChains(reuse, fmt.Sprintf("ST_%d_dop%d", size, dop), "st_update", d, dop, total)
+	return buildChains(reuse, name, "st_update", d, dop, total)
 }
 
 func buildChains(reuse *dag.Graph, name, kernel string, d platform.TaskDemand, width, total int) *dag.Graph {
@@ -497,6 +517,12 @@ func Fig8Configs() []Config {
 			into:  into,
 		}
 	}
+	// synth binds a synthetic benchmark's size, dop and precomputed
+	// name.
+	synth := func(kind string, into func(*dag.Graph, string, int, int, float64) *dag.Graph, size, dop int) Config {
+		name := synthName(kind, size, dop)
+		return cfg(name, func(g *dag.Graph, s float64) *dag.Graph { return into(g, name, size, dop, s) })
+	}
 	return []Config{
 		cfg("HT_Small", func(g *dag.Graph, s float64) *dag.Graph { return hdInto(g, HDSmall, s) }),
 		cfg("HT_Big", func(g *dag.Graph, s float64) *dag.Graph { return hdInto(g, HDBig, s) }),
@@ -507,18 +533,18 @@ func Fig8Configs() []Config {
 		cfg("BI", biInto),
 		cfg("AY", alInto),
 		cfg("SLU", sluInto),
-		cfg("MM_256_dop4", func(g *dag.Graph, s float64) *dag.Graph { return mmInto(g, 256, 4, s) }),
-		cfg("MM_256_dop16", func(g *dag.Graph, s float64) *dag.Graph { return mmInto(g, 256, 16, s) }),
-		cfg("MM_512_dop4", func(g *dag.Graph, s float64) *dag.Graph { return mmInto(g, 512, 4, s) }),
-		cfg("MM_512_dop16", func(g *dag.Graph, s float64) *dag.Graph { return mmInto(g, 512, 16, s) }),
-		cfg("MC_4096_dop4", func(g *dag.Graph, s float64) *dag.Graph { return mcInto(g, 4096, 4, s) }),
-		cfg("MC_4096_dop16", func(g *dag.Graph, s float64) *dag.Graph { return mcInto(g, 4096, 16, s) }),
-		cfg("MC_8192_dop4", func(g *dag.Graph, s float64) *dag.Graph { return mcInto(g, 8192, 4, s) }),
-		cfg("MC_8192_dop16", func(g *dag.Graph, s float64) *dag.Graph { return mcInto(g, 8192, 16, s) }),
-		cfg("ST_512_dop4", func(g *dag.Graph, s float64) *dag.Graph { return stInto(g, 512, 4, s) }),
-		cfg("ST_512_dop16", func(g *dag.Graph, s float64) *dag.Graph { return stInto(g, 512, 16, s) }),
-		cfg("ST_2048_dop4", func(g *dag.Graph, s float64) *dag.Graph { return stInto(g, 2048, 4, s) }),
-		cfg("ST_2048_dop16", func(g *dag.Graph, s float64) *dag.Graph { return stInto(g, 2048, 16, s) }),
+		synth("MM", mmInto, 256, 4),
+		synth("MM", mmInto, 256, 16),
+		synth("MM", mmInto, 512, 4),
+		synth("MM", mmInto, 512, 16),
+		synth("MC", mcInto, 4096, 4),
+		synth("MC", mcInto, 4096, 16),
+		synth("MC", mcInto, 8192, 4),
+		synth("MC", mcInto, 8192, 16),
+		synth("ST", stInto, 512, 4),
+		synth("ST", stInto, 512, 16),
+		synth("ST", stInto, 2048, 4),
+		synth("ST", stInto, 2048, 16),
 	}
 }
 

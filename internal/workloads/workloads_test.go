@@ -141,3 +141,51 @@ func TestTable1Rows(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmBuildReuseAllocFree is the builders' allocation contract: a
+// rebuild into a graph that already holds the same workload allocates
+// nothing, for every Figure 8 configuration at the scales the service
+// and benchmark use. Builder scratch (predecessor lists, fork rows,
+// block matrices) lives on the stack; tasks, edges and kernels come
+// from the recycled arenas.
+func TestWarmBuildReuseAllocFree(t *testing.T) {
+	for _, c := range Fig8Configs() {
+		for _, scale := range []float64{0.01, 0.05, 0.2} {
+			g := c.BuildReuse(nil, scale)
+			g = c.BuildReuse(g, scale)
+			if allocs := testing.AllocsPerRun(5, func() { g = c.BuildReuse(g, scale) }); allocs != 0 {
+				t.Errorf("%s at scale %g: warm BuildReuse = %.0f allocs, want 0", c.Name, scale, allocs)
+			}
+		}
+	}
+}
+
+// TestBuildReuseMatchesBuild pins that recycling storage never changes
+// the built structure: a warm rebuild equals a fresh Build edge for
+// edge, kernel for kernel.
+func TestBuildReuseMatchesBuild(t *testing.T) {
+	for _, c := range Fig8Configs() {
+		fresh := c.Build(0.05)
+		reused := c.BuildReuse(c.BuildReuse(nil, 0.05), 0.05)
+		if fresh.Name != reused.Name || fresh.NumTasks() != reused.NumTasks() || len(fresh.Kernels) != len(reused.Kernels) {
+			t.Fatalf("%s: shape differs after reuse", c.Name)
+		}
+		for i, k := range fresh.Kernels {
+			if rk := reused.Kernels[i]; rk.Name != k.Name || rk.Demand != k.Demand || rk.Index != k.Index {
+				t.Fatalf("%s: kernel %d differs after reuse", c.Name, i)
+			}
+		}
+		for i, ft := range fresh.Tasks {
+			rt := reused.Tasks[i]
+			if ft.Kernel.Index != rt.Kernel.Index || ft.Seq != rt.Seq || ft.DemandScale != rt.DemandScale ||
+				len(ft.Preds) != len(rt.Preds) || len(ft.Succs) != len(rt.Succs) {
+				t.Fatalf("%s: task %d differs after reuse", c.Name, i)
+			}
+			for j, p := range ft.Preds {
+				if rt.Preds[j].ID != p.ID {
+					t.Fatalf("%s: task %d pred %d differs after reuse", c.Name, i, j)
+				}
+			}
+		}
+	}
+}
