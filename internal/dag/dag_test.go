@@ -107,22 +107,44 @@ func TestForkJoinShape(t *testing.T) {
 	}
 }
 
-// TestBaseStateCountsAndRoots pins the initial ready-state runtimes
-// copy: per-task predecessor counts equal len(Preds), the roots are the
-// predecessor-free tasks, and a structural change invalidates the
+// TestDecrementPredAndReset pins the predecessor-count contract a run
+// builds on: BaseState's counts equal len(Preds) and its roots are the
+// predecessor-free tasks; decrementing a run's own copy of the counts
+// readies a task when its last predecessor completes; resetting the
+// copy from BaseState restores the counts, because consuming the copy
+// never writes to the graph; and a structural change invalidates the
 // cached state.
-func TestBaseStateCountsAndRoots(t *testing.T) {
+func TestDecrementPredAndReset(t *testing.T) {
 	g := New("g")
 	k := g.AddKernel("k", demand())
 	a := g.AddTask(k)
 	b := g.AddTask(k, a)
-	g.AddTask(k, a, b)
+	c := g.AddTask(k, a, b)
 	npred, roots := g.BaseState()
 	if len(npred) != 3 || npred[0] != 0 || npred[1] != 1 || npred[2] != 2 {
 		t.Fatalf("base counts = %v, want [0 1 2]", npred)
 	}
 	if len(roots) != 1 || roots[0] != a {
 		t.Fatalf("base roots = %v, want [a]", roots)
+	}
+	lane := append([]int32(nil), npred...)
+	decrement := func(task *Task) bool {
+		lane[task.ID]--
+		return lane[task.ID] == 0
+	}
+	if !decrement(b) {
+		t.Fatal("b should become ready after its single pred completes")
+	}
+	if decrement(c) {
+		t.Fatal("c should not be ready after one of two preds")
+	}
+	if !decrement(c) {
+		t.Fatal("c should be ready after both preds")
+	}
+	base, _ := g.BaseState()
+	copy(lane, base)
+	if lane[0] != 0 || lane[1] != 1 || lane[2] != 2 {
+		t.Fatalf("reset from BaseState gave %v, want [0 1 2]", lane)
 	}
 	d := g.AddTask(k)
 	npred, roots = g.BaseState()
@@ -177,10 +199,11 @@ func TestPropertyRandomLayeredDAGValid(t *testing.T) {
 }
 
 // Property: on random layered DAGs, BaseState's counts are the
-// in-degrees of the Succs edges, its roots are exactly Roots(), and
-// consuming the counts in topological order (what a run does on its
-// own copy) readies every task exactly once.
-func TestPropertyBaseStateMatchesPreds(t *testing.T) {
+// in-degrees of the Succs edges and its roots are exactly Roots();
+// consuming a copy of the counts in topological order (what a run does)
+// readies every task exactly once; and BaseState afterwards still holds
+// the initial counts, so the next run's reset restores them.
+func TestPropertyResetRestores(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := New("r")
@@ -228,7 +251,17 @@ func TestPropertyBaseStateMatchesPreds(t *testing.T) {
 				}
 			}
 		}
-		return ready == g.NumTasks()
+		if ready != g.NumTasks() {
+			return false
+		}
+		reset, _ := g.BaseState()
+		copy(lane, reset)
+		for i := range lane {
+			if lane[i] != inDeg[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
